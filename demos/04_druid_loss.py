@@ -6,7 +6,7 @@ import numpy as np
 
 from faceseg.druid_loss import (
     DruidGroundTruth, LossWeights, SEGMENT_IDS,
-    face_visibility, loss_grad, loss_terms, total_loss,
+    face_visibility, loss_grad, total_loss,
 )
 from faceseg.geometry import BBox, SegmentCatalog
 
@@ -29,7 +29,7 @@ bad = seg.copy()
 i = SEGMENT_IDS.index("NS")
 bad[i, 0], bad[i, 2] = 0.6, 0.4         # x1 > x2
 bad[i, 1] = 0.1                          # above the face box
-bd = loss_terms(bad[i], gt, "NS", mode="literal")
+_, bd = total_loss(bad, face, gt, mode="literal", return_breakdown=True)
 own = bd.branches["NS"]["own"]
 print("\nbroken NS branch, literal mode:")
 for term in ("x", "y1", "O", "b"):

@@ -41,7 +41,12 @@ from faceseg.druid_model import train as druid_train
 from faceseg.evalkit import pr_curve, roc_curve
 from faceseg.geometry import ImageMeta, SegmentCatalog
 from faceseg.priors import PriorTable
-from faceseg.proposals import ProposalConfig, proposal_from_record, proposal_to_record
+from faceseg.proposals import (
+    ProposalConfig,
+    default_radius,
+    proposal_from_record,
+    proposal_to_record,
+)
 from faceseg import pipeline
 from faceseg.pipeline import DsfTrainConfig, ProposalRecord
 
@@ -113,10 +118,15 @@ def _noise(cfg: dict) -> DetectorNoise:
 def _pcfg(cfg: dict, img: ImageMeta, seed: int) -> ProposalConfig:
     r = cfg.get("proposal.r")
     if r is None:
-        r = 0.2 * min(img.width, img.height)
+        r = default_radius(img)
     zeta = cfg.get("proposal.zeta", 10)
     return ProposalConfig(r=float(r), c=int(cfg.get("proposal.c", 2)),
                           zeta=None if zeta in (0, "inf") else int(zeta), seed=seed)
+
+
+def _read_priors(path) -> PriorTable:
+    with open(path, encoding="utf-8") as fh:
+        return PriorTable.from_json(fh.read())
 
 
 def _parse_crop_weights(text: str) -> dict[str, float]:
@@ -234,7 +244,7 @@ def cmd_train_fsfd(args) -> int:
     catalog = _catalog(cfg)
     images = _load_images(args.corpus)
     records = _read_proposals(args.proposals, images, catalog)
-    table = PriorTable.from_json(open(args.priors, encoding="utf-8").read())
+    table = _read_priors(args.priors)
     model = pipeline.train_fsfd(records, table,
                                 epochs=int(cfg.get("train.epochs", 120)),
                                 step=float(cfg.get("train.step", 0.5)),
@@ -252,7 +262,7 @@ def cmd_train_segface(args) -> int:
     catalog = _catalog(cfg)
     images = _load_images(args.corpus)
     records = _read_proposals(args.proposals, images, catalog)
-    table = PriorTable.from_json(open(args.priors, encoding="utf-8").read())
+    table = _read_priors(args.priors)
     by_id = {ai.image_id: ai for ai in images}
     bank, master = pipeline.train_segface(records, by_id, table,
                                           epochs=int(cfg.get("train.epochs", 60)),
@@ -297,9 +307,6 @@ def cmd_train_druid(args) -> int:
     images = _load_images(args.corpus)
     weights = LossWeights.from_config(cfg)
     tc = TrainConfig(lr=float(cfg.get("druid.lr", 1e-4)),
-                     beta1=float(cfg.get("druid.beta1", 0.9)),
-                     beta2=float(cfg.get("druid.beta2", 0.999)),
-                     eps=float(cfg.get("druid.eps", 1e-8)),
                      decay=float(cfg.get("druid.decay", 0.0)),
                      epochs=int(cfg.get("druid.epochs", 25)),
                      batch_size=int(cfg.get("druid.batch", 32)),
@@ -329,20 +336,17 @@ def cmd_eval(args) -> int:
         model = DruidParams.load(args.weights_in)
         outcomes = pipeline.evaluate_druid(images, model)
     else:
-        records = _records_for(args, cfg, images, catalog)
-        per_image = pipeline.records_by_image(records)
+        for flag, value in (("--model", args.model), ("--priors", args.priors)):
+            if not value:
+                raise ConfigError(f"{flag} is required for the {args.detector} detector")
+        table = _read_priors(args.priors)
         if args.detector == "fsfd":
-            table = PriorTable.from_json(open(args.priors, encoding="utf-8").read())
             score = pipeline.fsfd_score_fn(table, load_fsfd(args.model))
         elif args.detector == "segface":
-            table = PriorTable.from_json(open(args.priors, encoding="utf-8").read())
-            bank, master = load_segface(args.model)
-            score = pipeline.segface_score_fn(bank, master, table)
-        elif args.detector == "dsf":
-            table = PriorTable.from_json(open(args.priors, encoding="utf-8").read())
-            score = pipeline.dsf_score_fn(load_deepsegface(args.model), table)
+            score = pipeline.segface_score_fn(*load_segface(args.model), table)
         else:
-            raise ConfigError(f"unknown detector {args.detector!r}")
+            score = pipeline.dsf_score_fn(load_deepsegface(args.model), table)
+        per_image = pipeline.records_by_image(_records_for(args, cfg, images, catalog))
         outcomes = pipeline.evaluate_proposal_detector(images, per_image, score)
         cov = pipeline.coverage_from_records(images, per_image, [theta])
         coverage50 = cov.points[0][2]

@@ -1,4 +1,4 @@
-"""The three proposal classifiers and the per-image detection rule.
+"""The three proposal classifiers and their saved forms.
 
 FSFD: a linear max-margin model over the 2M+2 prior features alone.
 SegFace: per-segment gradient-histogram scorers feeding a master linear
@@ -9,20 +9,16 @@ reduction, concatenation, and a 2-way softmax head, re-ranked by priors.
 
 from __future__ import annotations
 
-import base64
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from faceseg import nn
-from faceseg.geometry import BBox, PROPOSAL_SEGMENTS
-from faceseg.imageops import HOG_DIM, hog_features, sample_rect
-from faceseg.priors import PriorTable, prior_features, rerank
+from faceseg.geometry import PROPOSAL_SEGMENTS
+from faceseg.imageops import hog_features, sample_rect
+from faceseg.priors import PriorTable, prior_features
 from faceseg.proposals import Proposal
-
-MODEL_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -206,71 +202,6 @@ class MultiColumnNet:
         return patches
 
 
-def deepsegface_prob(p: Proposal, image: np.ndarray, net: MultiColumnNet) -> float:
-    """Face-class softmax output for one proposal."""
-    patches = net.patches_for(p, image)[None]
-    probs, _, _ = net.forward(patches)
-    return float(probs[0])
-
-
-def deepsegface_score(p: Proposal, image: np.ndarray, net: MultiColumnNet,
-                      table: PriorTable) -> float:
-    """Final detection score: softmax probability re-ranked by the priors."""
-    return rerank(deepsegface_prob(p, image, net), p, table)
-
-
-@dataclass
-class DetectionResult:
-    """Argmax proposal for one image, or an explicit no-detection marker."""
-
-    image_id: str
-    proposal: Proposal | None
-    score: float | None
-
-    @property
-    def no_detection(self) -> bool:
-        return self.proposal is None
-
-
-def detect(image_id: str, proposals: list[Proposal], scorer,
-           threshold: float = -math.inf) -> DetectionResult:
-    """Pick the highest-scoring proposal above the threshold."""
-    best, best_score = None, -math.inf
-    for p in proposals:
-        s = scorer(p)
-        if s > best_score:
-            best, best_score = p, s
-    if best is None or best_score < threshold:
-        return DetectionResult(image_id=image_id, proposal=None, score=None)
-    return DetectionResult(image_id=image_id, proposal=best, score=best_score)
-
-
-# --- model containers -------------------------------------------------------
-
-def save_model(path, kind: str, params: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Versioned JSON container with base64 little-endian float64 weights."""
-    dims, payload = nn.flatten_params(params)
-    doc = {
-        "kind": kind,
-        "version": MODEL_FORMAT_VERSION,
-        "dims": dims,
-        "weights": base64.b64encode(payload).decode("ascii"),
-    }
-    if meta:
-        doc["meta"] = meta
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_model(path) -> tuple[str, dict[str, np.ndarray], dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model container version {doc.get('version')}")
-    params = nn.unflatten_params(doc["dims"], base64.b64decode(doc["weights"]))
-    return doc["kind"], params, doc.get("meta", {})
-
-
 def linear_to_params(model: LinearModel, prefix: str = "") -> dict[str, np.ndarray]:
     return {f"{prefix}w": model.w, f"{prefix}b": np.array([model.b])}
 
@@ -280,13 +211,11 @@ def linear_from_params(params: dict[str, np.ndarray], prefix: str = "") -> Linea
 
 
 def save_fsfd(path, model: LinearModel) -> None:
-    save_model(path, "fsfd", linear_to_params(model))
+    nn.save_model(path, "fsfd", linear_to_params(model))
 
 
 def load_fsfd(path) -> LinearModel:
-    kind, params, _ = load_model(path)
-    if kind != "fsfd":
-        raise ValueError(f"expected an fsfd model, got {kind!r}")
+    params, _ = nn.load_model(path, "fsfd")
     return linear_from_params(params)
 
 
@@ -294,14 +223,12 @@ def save_segface(path, bank: SegmentScorerBank, master: LinearModel) -> None:
     params = linear_to_params(master, "master_")
     for seg, m in bank.models.items():
         params.update(linear_to_params(m, f"seg_{seg}_"))
-    save_model(path, "segface", params, meta={"segments": list(bank.models),
-                                              "patch_side": bank.patch_side})
+    nn.save_model(path, "segface", params, meta={"segments": list(bank.models),
+                                                 "patch_side": bank.patch_side})
 
 
 def load_segface(path) -> tuple[SegmentScorerBank, LinearModel]:
-    kind, params, meta = load_model(path)
-    if kind != "segface":
-        raise ValueError(f"expected a segface model, got {kind!r}")
+    params, meta = nn.load_model(path, "segface")
     bank = SegmentScorerBank(
         models={seg: linear_from_params(params, f"seg_{seg}_") for seg in meta["segments"]},
         patch_side=int(meta.get("patch_side", 32)),
@@ -310,11 +237,9 @@ def load_segface(path) -> tuple[SegmentScorerBank, LinearModel]:
 
 
 def save_deepsegface(path, net: MultiColumnNet) -> None:
-    save_model(path, "deepsegface", net.params, meta={"segments": list(net.segments)})
+    nn.save_model(path, "deepsegface", net.params, meta={"segments": list(net.segments)})
 
 
 def load_deepsegface(path) -> MultiColumnNet:
-    kind, params, meta = load_model(path)
-    if kind != "deepsegface":
-        raise ValueError(f"expected a deepsegface model, got {kind!r}")
+    params, meta = nn.load_model(path, "deepsegface")
     return MultiColumnNet(params, tuple(meta["segments"]))

@@ -11,7 +11,6 @@ training surface.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -44,9 +43,6 @@ class LossWeights:
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_config(self) -> dict[str, float]:
-        return {f"lambda_{k}": v for k, v in self.as_dict().items()}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LossWeights":
@@ -114,19 +110,19 @@ def face_visibility(vis) -> float:
 
 
 def _iou_and_grad(P: np.ndarray, G: np.ndarray, want_grad: bool):
-    """Vectorized IOU of predicted boxes against valid target boxes.
+    """IOU of predicted boxes against valid target boxes along the last axis.
 
     Widths are clamped at zero so inverted predictions behave like empty
     boxes; at min/max ties the zero subgradient is chosen.
     """
-    pw = np.maximum(0.0, P[:, 2] - P[:, 0])
-    ph = np.maximum(0.0, P[:, 3] - P[:, 1])
-    gw = G[:, 2] - G[:, 0]
-    gh = G[:, 3] - G[:, 1]
+    pw = np.maximum(0.0, P[..., 2] - P[..., 0])
+    ph = np.maximum(0.0, P[..., 3] - P[..., 1])
+    gw = G[..., 2] - G[..., 0]
+    gh = G[..., 3] - G[..., 1]
     ap = pw * ph
     ag = gw * gh
-    iw = np.maximum(0.0, np.minimum(P[:, 2], G[:, 2]) - np.maximum(P[:, 0], G[:, 0]))
-    ih = np.maximum(0.0, np.minimum(P[:, 3], G[:, 3]) - np.maximum(P[:, 1], G[:, 1]))
+    iw = np.maximum(0.0, np.minimum(P[..., 2], G[..., 2]) - np.maximum(P[..., 0], G[..., 0]))
+    ih = np.maximum(0.0, np.minimum(P[..., 3], G[..., 3]) - np.maximum(P[..., 1], G[..., 1]))
     ai = iw * ih
     union = ap + ag - ai
     pos = union > 0
@@ -136,103 +132,113 @@ def _iou_and_grad(P: np.ndarray, G: np.ndarray, want_grad: bool):
 
     live_w = (pw > 0).astype(float)
     live_h = (ph > 0).astype(float)
-    dap = np.stack([-ph * live_w, -pw * live_h, ph * live_w, pw * live_h], axis=1)
+    dap = np.stack([-ph * live_w, -pw * live_h, ph * live_w, pw * live_h], axis=-1)
     ilive = (iw > 0) & (ih > 0)
     dai = np.stack([
-        -ih * ((P[:, 0] > G[:, 0]) & ilive),
-        -iw * ((P[:, 1] > G[:, 1]) & ilive),
-        ih * ((P[:, 2] < G[:, 2]) & ilive),
-        iw * ((P[:, 3] < G[:, 3]) & ilive),
-    ], axis=1)
+        -ih * ((P[..., 0] > G[..., 0]) & ilive),
+        -iw * ((P[..., 1] > G[..., 1]) & ilive),
+        ih * ((P[..., 2] < G[..., 2]) & ilive),
+        iw * ((P[..., 3] < G[..., 3]) & ilive),
+    ], axis=-1)
     dunion = dap - dai
     denom = np.where(pos, union * union, 1.0)
-    diou = np.where(pos[:, None], (dai * union[:, None] - ai[:, None] * dunion) / denom[:, None], 0.0)
+    diou = np.where(pos[..., None],
+                    (dai * union[..., None] - ai[..., None] * dunion) / denom[..., None], 0.0)
     return iou, diou
 
 
-def _family_terms(P, pv, G, tv, gate, C, mode, printed_overlap_indicator):
-    """Evaluate the nine terms for K parallel branches.
+def stack_targets(gts) -> tuple[np.ndarray, np.ndarray]:
+    """Targets of N samples as boxes (N, 29, 4) and gates (N, 29).
 
-    P (K,4)/pv (K,) are predictions, G (K,4)/tv (K,) targets, gate (K,) the
-    gating visibility, C (4,) the containing face box.  Returns a dict of
-    term name -> (K,) array.
+    Rows 0-13 hold the segment boxes gated by their visibilities; rows 14-28
+    hold the face box gated by v_F, as each branch's face-estimate target and
+    as the face head's.  Every row's visibility target equals its gate, and
+    the face box (row 28) is the containing box of every row.
     """
-    P = np.asarray(P, dtype=float)
+    boxes = np.empty((len(gts), 29, 4))
+    gates = np.empty((len(gts), 29))
+    for i, gt in enumerate(gts):
+        boxes[i, :14] = gt.seg_box_array()
+        boxes[i, 14:] = gt.face.as_tuple()
+        gates[i, :14] = gt.vis_array()
+        gates[i, 14:] = gt.v_f
+    return boxes, gates
+
+
+def batch_loss(seg_preds, face_preds, targets, weights: LossWeights | None = None,
+               mode: str = "smooth", printed_overlap_indicator: bool = False,
+               box_mask=None, want_grad: bool = True):
+    """Loss of N samples, their per-term rows and the gradient, in one pass.
+
+    ``seg_preds`` (N, 14, 10) and ``face_preds`` (N, 5) are branch and face
+    head outputs; ``targets`` is the pair from ``stack_targets``.
+    ``box_mask`` (N,) scales the ungated box term per sample: no-face samples
+    pass 0, and all their other terms self-gate at v = 0.
+
+    Returns (losses (N,), rows (N, 29, 9) of term values in TERMS order,
+    grad).  ``grad`` is (dseg (N, 14, 10), dface (N, 5)) of the smooth loss;
+    it is None when not wanted and in literal mode, whose indicators are flat
+    almost everywhere.
+    """
+    if mode not in ("literal", "smooth"):
+        raise ValueError(f"unknown mode {mode!r}")
+    weights = weights or LossWeights()
+    G, gate = targets
+    n = G.shape[0]
+    P = np.concatenate([seg_preds[:, :, :4], seg_preds[:, :, 5:9], face_preds[:, None, :4]],
+                       axis=1)
+    pv = np.concatenate([seg_preds[:, :, 4], seg_preds[:, :, 9], face_preds[:, 4:]], axis=1)
+    C = G[:, -1:]
     g2 = gate * gate
-    terms = {}
+    gated = (gate != 0).astype(float)
+    wb = np.full(n, weights.b) if box_mask is None else weights.b * np.asarray(box_mask, float)
+    want_grad = want_grad and mode == "smooth"
 
     diff = P - G
-    terms["b"] = np.sum(diff * diff, axis=1)
-    terms["v"] = (pv - tv) ** 2
-
-    sx = P[:, 0] - P[:, 2]
-    sy = P[:, 1] - P[:, 3]
-    if mode == "literal":
-        terms["x"] = g2 * (sx > 0)
-        terms["y"] = g2 * (sy > 0)
-    else:
-        hx = np.maximum(0.0, sx)
-        hy = np.maximum(0.0, sy)
-        terms["x"] = g2 * hx * hx
-        terms["y"] = g2 * hy * hy
-
-    hx1 = np.maximum(0.0, C[0] - P[:, 0])
-    hx2 = np.maximum(0.0, P[:, 2] - C[2])
-    hy1 = np.maximum(0.0, C[1] - P[:, 1])
-    hy2 = np.maximum(0.0, P[:, 3] - C[3])
-    terms["x1"] = g2 * hx1 * hx1
-    terms["x2"] = g2 * hx2 * hx2
-    terms["y1"] = g2 * hy1 * hy1
-    terms["y2"] = g2 * hy2 * hy2
-
-    gated = (gate != 0).astype(float)
+    hx = np.maximum(0.0, P[..., 0] - P[..., 2])
+    hy = np.maximum(0.0, P[..., 1] - P[..., 3])
+    hx1 = np.maximum(0.0, C[..., 0] - P[..., 0])
+    hx2 = np.maximum(0.0, P[..., 2] - C[..., 2])
+    hy1 = np.maximum(0.0, C[..., 1] - P[..., 1])
+    hy2 = np.maximum(0.0, P[..., 3] - C[..., 3])
     if printed_overlap_indicator:
-        # The printed indicator 1[IOU <= 0] zeroes the IOU contribution, so
-        # the term collapses to the visibility gate alone.
-        terms["O"] = gated
+        # the printed indicator 1[IOU <= 0] zeroes the IOU contribution, so
+        # the term collapses to the visibility gate alone
+        overlap = gated
     else:
-        iou, _ = _iou_and_grad(P, G, False)
-        terms["O"] = ((1.0 - iou) * gated) ** 2
-    return terms
+        iou, diou = _iou_and_grad(P, G, want_grad)
+        overlap = ((1.0 - iou) * gated) ** 2
+    if mode == "literal":
+        order_x, order_y = g2 * (hx > 0), g2 * (hy > 0)
+    else:
+        order_x, order_y = g2 * hx * hx, g2 * hy * hy
+    rows = np.stack([np.sum(diff * diff, axis=-1), (pv - gate) ** 2, order_x, order_y,
+                     g2 * hx1 * hx1, g2 * hx2 * hx2, g2 * hy1 * hy1, g2 * hy2 * hy2,
+                     overlap], axis=-1)
+    w = np.tile([getattr(weights, t) for t in TERMS], (n, 1))
+    w[:, 0] = wb
+    losses = (rows.sum(axis=1) * w).sum(axis=1)
+    if not want_grad:
+        return losses, rows, None
 
+    dP = (wb * 2.0)[:, None, None] * diff
+    dpv = weights.v * 2.0 * (pv - gate)
+    dP[..., 0] += weights.x * 2.0 * g2 * hx
+    dP[..., 2] -= weights.x * 2.0 * g2 * hx
+    dP[..., 1] += weights.y * 2.0 * g2 * hy
+    dP[..., 3] -= weights.y * 2.0 * g2 * hy
+    dP[..., 0] -= weights.x1 * 2.0 * g2 * hx1
+    dP[..., 2] += weights.x2 * 2.0 * g2 * hx2
+    dP[..., 1] -= weights.y1 * 2.0 * g2 * hy1
+    dP[..., 3] += weights.y2 * 2.0 * g2 * hy2
+    if not printed_overlap_indicator:
+        dP += weights.O * (-2.0 * (1.0 - iou) * gated)[..., None] * diou
 
-def _weighted_family_grad(P, pv, G, tv, gate, C, weights):
-    """Gradient of the weighted term sum; splits the hinge weights per term."""
-    K = np.asarray(P).shape[0]
-    dP = np.zeros((K, 4))
-    dpv = np.zeros(K)
-    P = np.asarray(P, dtype=float)
-    g2 = gate * gate
-
-    dP += weights.b * 2.0 * (P - G)
-    dpv += weights.v * 2.0 * (pv - tv)
-
-    hx = np.maximum(0.0, P[:, 0] - P[:, 2])
-    hy = np.maximum(0.0, P[:, 1] - P[:, 3])
-    dP[:, 0] += weights.x * 2.0 * g2 * hx
-    dP[:, 2] -= weights.x * 2.0 * g2 * hx
-    dP[:, 1] += weights.y * 2.0 * g2 * hy
-    dP[:, 3] -= weights.y * 2.0 * g2 * hy
-
-    hx1 = np.maximum(0.0, C[0] - P[:, 0])
-    hx2 = np.maximum(0.0, P[:, 2] - C[2])
-    hy1 = np.maximum(0.0, C[1] - P[:, 1])
-    hy2 = np.maximum(0.0, P[:, 3] - C[3])
-    dP[:, 0] -= weights.x1 * 2.0 * g2 * hx1
-    dP[:, 2] += weights.x2 * 2.0 * g2 * hx2
-    dP[:, 1] -= weights.y1 * 2.0 * g2 * hy1
-    dP[:, 3] += weights.y2 * 2.0 * g2 * hy2
-
-    gated = (gate != 0).astype(float)
-    iou, diou = _iou_and_grad(P, G, True)
-    dP += weights.O * (-2.0 * (1.0 - iou) * gated)[:, None] * diou
-    return dP, dpv
-
-
-def _check_finite(*arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite values in loss inputs")
+    dseg = np.empty((n, 14, 10))
+    dseg[:, :, :4], dseg[:, :, 4] = dP[:, :14], dpv[:, :14]
+    dseg[:, :, 5:9], dseg[:, :, 9] = dP[:, 14:28], dpv[:, 14:28]
+    dface = np.concatenate([dP[:, 28], dpv[:, 28:]], axis=1)
+    return losses, rows, (dseg, dface)
 
 
 @dataclass
@@ -242,105 +248,45 @@ class LossBreakdown:
     branches: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
     total: float = 0.0
 
-    def term_sum(self, term: str) -> float:
-        return sum(fam[term] for branch in self.branches.values() for fam in branch.values())
 
-
-def _gt_arrays(gt: DruidGroundTruth):
-    face = np.array(gt.face.as_tuple(), dtype=float)
-    return face, gt.seg_box_array(), gt.vis_array(), gt.v_f
-
-
-def loss_terms(pred, gt: DruidGroundTruth, branch: str, mode: str = "smooth",
-               printed_overlap_indicator: bool = False) -> LossBreakdown:
-    """Term values for a single branch output.
-
-    ``pred`` is the 10-value output of a segment branch (own box, own
-    visibility, face-box estimate, face visibility estimate) or the 5-value
-    face-head output when ``branch == "F"``.
-    """
-    if mode not in ("literal", "smooth"):
-        raise ValueError(f"unknown mode {mode!r}")
-    pred = np.asarray(pred, dtype=float)
-    _check_finite(pred)
-    face, seg_boxes, vis, v_f = _gt_arrays(gt)
-    out = LossBreakdown()
-
-    def fam(P, pv, G, tv, gate):
-        terms = _family_terms(P[None], np.array([pv]), G[None], np.array([tv]),
-                              np.array([gate]), face, mode, printed_overlap_indicator)
-        return {k: float(v[0]) for k, v in terms.items()}
-
-    if branch == FACE_BRANCH:
-        if pred.shape != (5,):
-            raise ValueError("face head output must have 5 values")
-        out.branches[FACE_BRANCH] = {"face": fam(pred[:4], pred[4], face, v_f, v_f)}
-    else:
-        idx = SEGMENT_IDS.index(branch)
-        if pred.shape != (10,):
-            raise ValueError("segment branch output must have 10 values")
-        out.branches[branch] = {
-            "own": fam(pred[:4], pred[4], seg_boxes[idx], vis[idx], vis[idx]),
-            "face": fam(pred[5:9], pred[9], face, v_f, v_f),
-        }
-    out.total = _breakdown_total(out, LossWeights())
-    return out
-
-
-def _breakdown_total(bd: LossBreakdown, weights: LossWeights) -> float:
-    w = weights.as_dict()
-    return float(sum(w[t] * fam[t] for branch in bd.branches.values()
-                     for fam in branch.values() for t in TERMS))
+def _one_sample(seg_preds, face_pred, gt: DruidGroundTruth):
+    seg_preds = np.asarray(seg_preds, dtype=float)
+    face_pred = np.asarray(face_pred, dtype=float)
+    if seg_preds.shape != (14, 10) or face_pred.shape != (5,):
+        raise ValueError("expected 14x10 segment outputs and a 5-value face output")
+    if not (np.all(np.isfinite(seg_preds)) and np.all(np.isfinite(face_pred))):
+        raise ValueError("non-finite values in loss inputs")
+    return seg_preds[None], face_pred[None], stack_targets([gt])
 
 
 def total_loss(seg_preds, face_pred, gt: DruidGroundTruth,
                weights: LossWeights | None = None, mode: str = "smooth",
                printed_overlap_indicator: bool = False,
                return_breakdown: bool = False):
-    """Composite loss over all 15 branches.
+    """Composite loss of one sample over all 15 branches.
 
     Each segment branch contributes its own-box family and its auxiliary
     face-estimate family; the face head contributes the face family computed
     on its 5 outputs.
     """
-    if mode not in ("literal", "smooth"):
-        raise ValueError(f"unknown mode {mode!r}")
-    weights = weights or LossWeights()
-    seg_preds = np.asarray(seg_preds, dtype=float)
-    face_pred = np.asarray(face_pred, dtype=float)
-    if seg_preds.shape != (14, 10) or face_pred.shape != (5,):
-        raise ValueError("expected 14x10 segment outputs and a 5-value face output")
-    _check_finite(seg_preds, face_pred)
-    face, seg_boxes, vis, v_f = _gt_arrays(gt)
-    vf14 = np.full(14, v_f)
-    face14 = np.tile(face, (14, 1))
-
-    own = _family_terms(seg_preds[:, :4], seg_preds[:, 4], seg_boxes, vis, vis,
-                        face, mode, printed_overlap_indicator)
-    aux = _family_terms(seg_preds[:, 5:9], seg_preds[:, 9], face14, vf14, vf14,
-                        face, mode, printed_overlap_indicator)
-    fh = _family_terms(face_pred[None, :4], face_pred[4:5], face[None],
-                       np.array([v_f]), np.array([v_f]), face, mode,
-                       printed_overlap_indicator)
-
-    w = weights.as_dict()
-    total = float(sum(w[t] * (own[t].sum() + aux[t].sum() + fh[t][0]) for t in TERMS))
+    losses, rows, _ = batch_loss(*_one_sample(seg_preds, face_pred, gt), weights, mode,
+                                 printed_overlap_indicator, want_grad=False)
+    total = float(losses[0])
     if not return_breakdown:
         return total
+    r = rows[0].tolist()
     bd = LossBreakdown(total=total)
     for i, seg in enumerate(SEGMENT_IDS):
-        bd.branches[seg] = {
-            "own": {t: float(own[t][i]) for t in TERMS},
-            "face": {t: float(aux[t][i]) for t in TERMS},
-        }
-    bd.branches[FACE_BRANCH] = {"face": {t: float(fh[t][0]) for t in TERMS}}
+        bd.branches[seg] = {"own": dict(zip(TERMS, r[i])), "face": dict(zip(TERMS, r[14 + i]))}
+    bd.branches[FACE_BRANCH] = {"face": dict(zip(TERMS, r[28]))}
     return total, bd
 
 
 def loss_grad(seg_preds, face_pred, gt: DruidGroundTruth,
               weights: LossWeights | None = None,
               mode: str = "smooth") -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of ``total_loss`` with respect to every prediction.
+    """Analytic gradient of one sample's ``total_loss`` with respect to every
+    prediction.
 
     Only the smooth surrogate is differentiable; literal indicators have zero
     gradient almost everywhere and are rejected.
@@ -348,29 +294,5 @@ def loss_grad(seg_preds, face_pred, gt: DruidGroundTruth,
     if mode != "smooth":
         raise ValueError("gradients are defined for smooth mode only; "
                          "literal indicators are flat almost everywhere")
-    weights = weights or LossWeights()
-    seg_preds = np.asarray(seg_preds, dtype=float)
-    face_pred = np.asarray(face_pred, dtype=float)
-    if seg_preds.shape != (14, 10) or face_pred.shape != (5,):
-        raise ValueError("expected 14x10 segment outputs and a 5-value face output")
-    _check_finite(seg_preds, face_pred)
-    face, seg_boxes, vis, v_f = _gt_arrays(gt)
-    vf14 = np.full(14, v_f)
-    face14 = np.tile(face, (14, 1))
-
-    dseg = np.zeros((14, 10))
-    dP, dpv = _weighted_family_grad(seg_preds[:, :4], seg_preds[:, 4], seg_boxes, vis,
-                                    vis, face, weights)
-    dseg[:, :4] = dP
-    dseg[:, 4] = dpv
-    dP, dpv = _weighted_family_grad(seg_preds[:, 5:9], seg_preds[:, 9], face14, vf14,
-                                    vf14, face, weights)
-    dseg[:, 5:9] = dP
-    dseg[:, 9] = dpv
-
-    dface = np.zeros(5)
-    dP, dpv = _weighted_family_grad(face_pred[None, :4], face_pred[4:5], face[None],
-                                    np.array([v_f]), np.array([v_f]), face, weights)
-    dface[:4] = dP[0]
-    dface[4] = dpv[0]
-    return dseg, dface
+    _, _, (dseg, dface) = batch_loss(*_one_sample(seg_preds, face_pred, gt), weights)
+    return dseg[0], dface[0]

@@ -11,20 +11,16 @@ and every segment box with visibility.
 from __future__ import annotations
 
 import logging
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from faceseg import nn
-from faceseg.druid_loss import DruidGroundTruth, LossWeights, loss_grad, total_loss
+from faceseg.druid_loss import DruidGroundTruth, LossWeights, batch_loss, stack_targets
 from faceseg.geometry import BBox, SegmentCatalog, SEGMENT_IDS
 from faceseg.imageops import bilinear_resize
 
 logger = logging.getLogger(__name__)
-
-MAGIC = b"DRUIDTOY"
-FORMAT_VERSION = 1
 
 INPUT_SIDE = 64
 # gray plus two fixed coordinate ramps: global average pooling in the
@@ -59,9 +55,6 @@ class TrainConfig:
     """
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     decay: float = 0.0
     epochs: int = 25
     batch_size: int = 32
@@ -114,43 +107,13 @@ class DruidParams:
         p["fhead_b"] = np.array([*CANONICAL_FACE, 0.5])
         return cls(p)
 
-    def copy(self) -> "DruidParams":
-        return DruidParams({k: v.copy() for k, v in self.params.items()}, self.side)
-
     def save(self, path) -> None:
-        dims, payload = nn.flatten_params(self.params)
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", FORMAT_VERSION, self.side))
-            fh.write(struct.pack("<I", len(dims)))
-            for name, shape in dims:
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", len(shape)))
-                for d in shape:
-                    fh.write(struct.pack("<I", d))
-            fh.write(payload)
+        nn.save_model(path, "druid", self.params, meta={"side": self.side})
 
     @classmethod
     def load(cls, path) -> "DruidParams":
-        with open(path, "rb") as fh:
-            if fh.read(len(MAGIC)) != MAGIC:
-                raise ValueError(f"{path}: not a DRUIDTOY parameter file")
-            version, side = struct.unpack("<II", fh.read(8))
-            if version != FORMAT_VERSION:
-                raise ValueError(f"unsupported parameter format version {version}")
-            (count,) = struct.unpack("<I", fh.read(4))
-            dims = []
-            for _ in range(count):
-                (nlen,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(nlen).decode("utf-8")
-                (ndim,) = struct.unpack("<B", fh.read(1))
-                shape = [struct.unpack("<I", fh.read(4))[0] for _ in range(ndim)]
-                dims.append([name, shape])
-            payload = fh.read()
-        params = nn.unflatten_params(dims, payload)
-        obj = cls(params, side)
+        params, meta = nn.load_model(path, "druid")
+        obj = cls(params, int(meta["side"]))
         obj._check_shapes()
         return obj
 
@@ -265,6 +228,15 @@ def normalized_targets(image_shape: tuple[int, int],
                             vis=dict(gt.vis))
 
 
+def _training_inputs(side: int, samples):
+    """Network inputs, stacked loss targets and the per-sample box-term mask
+    (0 for no-face samples) of (image, ground truth) pairs."""
+    X = input_tensor(np.stack([bilinear_resize(img, side, side) for img, _ in samples]))
+    targets = stack_targets([normalized_targets(img.shape, gt) for img, gt in samples])
+    box_mask = np.array([float(gt is not None) for _, gt in samples])
+    return X, targets, box_mask
+
+
 def train(samples, cfg: TrainConfig, weights: LossWeights | None = None) -> DruidParams:
     """Fit the network on (image, ground truth) pairs; gt None means no face.
 
@@ -273,58 +245,29 @@ def train(samples, cfg: TrainConfig, weights: LossWeights | None = None) -> Drui
     """
     if not samples:
         raise ValueError("training needs at least one sample")
-    weights = weights or LossWeights()
-    noface_weights = replace(weights, b=0.0)  # every other term self-gates at v=0
-
     model = DruidParams.init(seed=cfg.seed)
-    side = model.side
-    X = input_tensor(np.stack([bilinear_resize(img, side, side) for img, _ in samples]))
-    gts = [normalized_targets(img.shape, gt) for img, gt in samples]
-    has_face = [gt is not None for _, gt in samples]
+    X, (boxes, gates), box_mask = _training_inputs(model.side, samples)
 
-    opt = nn.Adam(model.params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                  eps=cfg.eps, lr_decay=cfg.decay)
-    rng = np.random.default_rng(cfg.seed)
-    n = len(samples)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            seg_out, face_out, cache = forward(model, X[idx], want_cache=True)
-            if not (np.all(np.isfinite(seg_out)) and np.all(np.isfinite(face_out))):
-                raise RuntimeError(f"training diverged at epoch {epoch}: "
-                                   "non-finite network outputs (reduce the step size)")
-            dseg = np.zeros_like(seg_out)
-            dface = np.zeros_like(face_out)
-            batch_loss = 0.0
-            for j, i in enumerate(idx):
-                w = weights if has_face[i] else noface_weights
-                batch_loss += total_loss(seg_out[j], face_out[j], gts[i], w)
-                gs, gf = loss_grad(seg_out[j], face_out[j], gts[i], w)
-                dseg[j] = gs / len(idx)
-                dface[j] = gf / len(idx)
-            batch_loss /= len(idx)
-            if not np.isfinite(batch_loss):
-                raise RuntimeError(f"training diverged at epoch {epoch}: loss={batch_loss}")
-            grads = backward(model, dseg, dface, cache)
-            opt.step(grads)
-            epoch_loss += batch_loss * len(idx)
-        logger.info("epoch %d mean loss %.6f", epoch, epoch_loss / n)
+    def batch_grads(idx):
+        seg_out, face_out, cache = forward(model, X[idx], want_cache=True)
+        if not (np.all(np.isfinite(seg_out)) and np.all(np.isfinite(face_out))):
+            return np.nan, None  # non-finite network outputs: fit aborts
+        losses, _, (dseg, dface) = batch_loss(seg_out, face_out, (boxes[idx], gates[idx]),
+                                              weights, box_mask=box_mask[idx])
+        return losses.mean(), backward(model, dseg / len(idx), dface / len(idx), cache)
+
+    nn.fit(model.params, len(samples), batch_grads, cfg.lr, cfg.epochs, cfg.batch_size,
+           np.random.default_rng(cfg.seed), cfg.decay,
+           lambda epoch, loss: logger.info("epoch %d mean loss %.6f", epoch, loss))
     return model
 
 
 def training_loss(model: DruidParams, samples, weights: LossWeights | None = None) -> float:
     """Mean smooth-mode loss of the model over the samples."""
-    weights = weights or LossWeights()
-    noface_weights = replace(weights, b=0.0)
-    side = model.side
-    X = input_tensor(np.stack([bilinear_resize(img, side, side) for img, _ in samples]))
+    X, targets, box_mask = _training_inputs(model.side, samples)
     seg_out, face_out, _ = forward(model, X)
-    losses = []
-    for j, (img, gt) in enumerate(samples):
-        w = weights if gt is not None else noface_weights
-        losses.append(total_loss(seg_out[j], face_out[j], normalized_targets(img.shape, gt), w))
+    losses, _, _ = batch_loss(seg_out, face_out, targets, weights, box_mask=box_mask,
+                              want_grad=False)
     return float(np.mean(losses))
 
 

@@ -28,13 +28,6 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def match_at_overlap(det: BBox, gt: BBox, theta: float) -> bool:
-    """Inclusive overlap test: IOU >= theta counts as a match."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("overlap threshold must be in (0, 1]")
-    return iou(det, gt) >= theta
-
-
 @dataclass
 class ImageOutcome:
     """Per-image evaluation record.

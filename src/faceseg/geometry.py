@@ -160,10 +160,6 @@ class SegmentCatalog:
         return self._fractions[seg]
 
     @property
-    def all_segments(self) -> tuple[str, ...]:
-        return SEGMENT_IDS
-
-    @property
     def proposal_segments(self) -> tuple[str, ...]:
         return PROPOSAL_SEGMENTS
 
@@ -173,11 +169,6 @@ class SegmentCatalog:
     @classmethod
     def from_dict(cls, table: dict[str, list[float]]) -> "SegmentCatalog":
         return cls({seg: FracRect(*vals) for seg, vals in table.items()})
-
-
-def fraction_rect(seg: str, catalog: SegmentCatalog) -> FracRect:
-    """Fractional rectangle of a segment within the canonical face."""
-    return catalog[seg]
 
 
 def segment_from_face(seg: str, face: BBox, catalog: SegmentCatalog) -> BBox:

@@ -1,6 +1,6 @@
 """Minimal numpy neural-network kernel: conv / pool / affine layers with
-hand-written backward passes, an adaptive-moment optimizer, and flat
-parameter (de)serialization.
+hand-written backward passes, an adaptive-moment optimizer with its
+minibatch loop, and the versioned weight container every model is saved in.
 
 All tensors are float64 in (N, C, H, W) layout; forward functions return
 (output, cache) and backward functions consume (grad_output, cache).
@@ -8,7 +8,12 @@ All tensors are float64 in (N, C, H, W) layout; forward functions return
 
 from __future__ import annotations
 
+import base64
+import json
+
 import numpy as np
+
+MODEL_FORMAT_VERSION = 1
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -149,6 +154,30 @@ class Adam:
             self.params[k] -= lr_t * mhat / (np.sqrt(vhat) + self.eps)
 
 
+def fit(params: dict[str, np.ndarray], n: int, batch_grads, lr: float, epochs: int,
+        batch_size: int, rng: np.random.Generator, decay: float, log) -> None:
+    """Adam over shuffled minibatches of ``n`` samples, updating ``params``.
+
+    Each epoch draws a fresh permutation from ``rng``.  ``batch_grads(idx)``
+    returns the mean loss of the samples ``idx`` and the gradients of that
+    mean; ``log(epoch, mean_loss)`` runs after every epoch.  A non-finite
+    batch loss aborts with RuntimeError.
+    """
+    opt = Adam(params, lr=lr, lr_decay=decay)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            loss, grads = batch_grads(idx)
+            if not np.isfinite(loss):
+                raise RuntimeError(f"training diverged at epoch {epoch}: batch loss {loss} "
+                                   "(reduce the step size)")
+            opt.step(grads)
+            epoch_loss += loss * len(idx)
+        log(epoch, epoch_loss / n)
+
+
 def flatten_params(params: dict[str, np.ndarray]) -> tuple[list, bytes]:
     """Sorted shape table plus concatenated little-endian float64 payload."""
     dims = []
@@ -171,3 +200,33 @@ def unflatten_params(dims: list, payload: bytes) -> dict[str, np.ndarray]:
     if offset != len(payload):
         raise ValueError("parameter payload length does not match shape table")
     return params
+
+
+def save_model(path, kind: str, params: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Versioned JSON container with base64 little-endian float64 weights."""
+    dims, payload = flatten_params(params)
+    doc = {
+        "kind": kind,
+        "version": MODEL_FORMAT_VERSION,
+        "dims": dims,
+        "weights": base64.b64encode(payload).decode("ascii"),
+    }
+    if meta:
+        doc["meta"] = meta
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def load_model(path, kind: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Parameters and metadata of a container that must hold a ``kind`` model."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a model container ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{path}: not a version {MODEL_FORMAT_VERSION} model container")
+    if doc.get("kind") != kind:
+        raise ValueError(f"expected a {kind} model, got {doc.get('kind')!r}")
+    params = unflatten_params(doc["dims"], base64.b64decode(doc["weights"]))
+    return params, doc.get("meta", {})

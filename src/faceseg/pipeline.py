@@ -18,7 +18,6 @@ from faceseg.detectors import (
     LinearModel,
     MultiColumnNet,
     SegmentScorerBank,
-    deepsegface_prob,
     segface_features,
     train_linear,
 )
@@ -169,24 +168,16 @@ def train_deepsegface(records: list[ProposalRecord], images: dict[str, Annotated
     labels = np.array([1] * len(pos) + [0] * len(neg))
 
     net = MultiColumnNet.init(seed=cfg.seed, segments=catalog.proposal_segments)
-    opt = nn.Adam(net.params, lr=cfg.lr)
-    n = len(pool)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            patches = np.stack([net.patches_for(pool[i].proposal,
-                                                images[pool[i].image_id].pixels)
-                                for i in idx])
-            _, logits, cache = net.forward(patches, want_cache=True)
-            loss, dlogits = nn.softmax_ce(logits, labels[idx])
-            if not np.isfinite(loss):
-                raise RuntimeError(f"deepsegface training diverged at epoch {epoch}")
-            grads = net.backward(dlogits, cache)
-            opt.step(grads)
-            epoch_loss += loss * len(idx)
-        logger.info("deepsegface epoch %d mean loss %.4f", epoch, epoch_loss / n)
+
+    def batch_grads(idx):
+        patches = np.stack([net.patches_for(pool[i].proposal, images[pool[i].image_id].pixels)
+                            for i in idx])
+        _, logits, cache = net.forward(patches, want_cache=True)
+        loss, dlogits = nn.softmax_ce(logits, labels[idx])
+        return loss, net.backward(dlogits, cache)
+
+    nn.fit(net.params, len(pool), batch_grads, cfg.lr, cfg.epochs, cfg.batch_size, rng, 0.0,
+           lambda epoch, loss: logger.info("deepsegface epoch %d mean loss %.4f", epoch, loss))
     return net
 
 

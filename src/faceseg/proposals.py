@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -61,6 +62,11 @@ class Proposal:
     bbox: BBox
 
     def tags(self) -> tuple[str, ...]:
+        return self._tags
+
+    @cached_property
+    def _tags(self) -> tuple[str, ...]:
+        # sorted once per proposal: priors look the identity up per proposal
         return tuple(sorted(d.seg for d in self.segments))
 
     def key(self):

@@ -1,11 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 from faceseg.cli import main
+from faceseg.druid_model import DruidParams
 
 
 def run_cli(args):
@@ -149,3 +149,32 @@ def test_druid_train_and_eval_cli(tmp_path):
                     "--out", tmp_path / "e"]) == 0
     summary = json.loads((tmp_path / "e" / "summary.json").read_text())
     assert summary["coverage_at_50pct"] is None  # no proposals involved
+
+
+def run_cli_process(args):
+    return subprocess.run([sys.executable, "-m", "faceseg.cli", *map(str, args)],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("detector,missing", [("fsfd", "--priors"), ("segface", "--priors"),
+                                              ("dsf", "--model")])
+def test_eval_missing_flag_is_a_config_error(workdir, tmp_path, detector, missing):
+    flags = {"--model": tmp_path / "model.json", "--priors": workdir / "priors" / "priors.json"}
+    del flags[missing]
+    proc = run_cli_process(["eval", "--corpus", workdir / "corpus", "--detector", detector,
+                            *[a for item in flags.items() for a in item],
+                            "--out", tmp_path / "e"])
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: {missing} is required for the {detector} detector\n"
+
+
+@pytest.mark.parametrize("keep", [20, 0.5])
+def test_eval_truncated_druid_weights_is_a_one_line_error(workdir, tmp_path, keep):
+    path = tmp_path / "druid.bin"
+    DruidParams.init(seed=0).save(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:int(keep if keep >= 1 else keep * len(raw))])
+    proc = run_cli_process(["eval", "--corpus", workdir / "corpus", "--detector", "druid",
+                            "--weights-in", path, "--out", tmp_path / "e"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,16 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from faceseg import nn
 from faceseg.detectors import (
-    DetectionResult,
     LinearModel,
     MultiColumnNet,
     SegmentScorerBank,
-    deepsegface_prob,
-    detect,
     fsfd_score,
     hinge_loss,
     load_deepsegface,
@@ -150,6 +145,12 @@ def small_image_proposal(tags, seed=4):
     return image, Proposal(segments=tuple(dets), bbox=proposal_bbox(dets))
 
 
+def face_prob(net, p, image):
+    """Face-class probability of one proposal through the network's forward."""
+    probs, _, _ = net.forward(net.patches_for(p, image)[None])
+    return float(probs[0])
+
+
 def test_deepsegface_softmax_sums_to_one():
     net = MultiColumnNet.init(seed=0)
     image, p = small_image_proposal(["NS", "EP"])
@@ -157,7 +158,7 @@ def test_deepsegface_softmax_sums_to_one():
     _, logits, _ = net.forward(patches)
     probs = nn.softmax(logits)
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
-    prob = deepsegface_prob(p, image, net)
+    prob = face_prob(net, p, image)
     assert 0.0 < prob < 1.0
 
 
@@ -169,13 +170,13 @@ def test_deepsegface_missing_equals_zeroed_pixels():
     ep_box = p_with.segments[1].box
     zeroed = image.copy()
     zeroed[int(ep_box.y1) - 1:int(ep_box.y2) + 1, int(ep_box.x1) - 1:int(ep_box.x2) + 1] = 0.0
-    assert deepsegface_prob(p_without, image, net) == deepsegface_prob(p_with, zeroed, net)
+    assert face_prob(net, p_without, image) == face_prob(net, p_with, zeroed)
 
 
 def test_deepsegface_sensitive_to_present_invariant_to_absent():
     net = MultiColumnNet.init(seed=2)
     image, p = small_image_proposal(["NS", "EP"])
-    base = deepsegface_prob(p, image, net)
+    base = face_prob(net, p, image)
     rng = np.random.default_rng(5)
     # permute pixels inside a present segment: probability changes
     shuffled = image.copy()
@@ -183,11 +184,11 @@ def test_deepsegface_sensitive_to_present_invariant_to_absent():
     sl = shuffled[int(box.y1):int(box.y2), int(box.x1):int(box.x2)]
     perm = rng.permutation(sl.ravel()).reshape(sl.shape)
     shuffled[int(box.y1):int(box.y2), int(box.x1):int(box.x2)] = perm
-    assert deepsegface_prob(p, shuffled, net) != base
+    assert face_prob(net, p, shuffled) != base
     # change pixels far from every present segment: probability identical
     altered = image.copy()
     altered[2:20, 36:58] = rng.uniform(0, 1, (18, 22))
-    assert deepsegface_prob(p, altered, net) == base
+    assert face_prob(net, p, altered) == base
 
 
 def test_deepsegface_end_to_end_gradient_spotcheck():
@@ -217,28 +218,6 @@ def test_deepsegface_end_to_end_gradient_spotcheck():
             arr.flat[j] = old
             num = (up - dn) / (2 * h)
             assert grads[name].flat[j] == pytest.approx(num, rel=1e-4, abs=1e-7)
-
-
-def test_detect_rules():
-    scorer = {"a": 0.2, "b": 0.9, "c": 0.5}
-    p = {k: make_proposal(["NS"], offset=i) for i, k in enumerate(scorer)}
-    res = detect("img", [], lambda q: 0.0)
-    assert res.no_detection
-    res = detect("img", [p["a"]], lambda q: 0.2, threshold=0.1)
-    assert res.proposal is p["a"] and res.score == 0.2
-    res = detect("img", [p["a"], p["b"], p["c"]],
-                 lambda q: {p["a"].key(): 0.2, p["b"].key(): 0.9, p["c"].key(): 0.5}[q.key()])
-    assert res.proposal is p["b"]
-    res = detect("img", [p["a"]], lambda q: 0.2, threshold=0.5)
-    assert res.no_detection
-
-
-def test_detect_invariant_to_monotone_transform():
-    proposals = [make_proposal(["NS"], offset=i) for i in range(4)]
-    raw = {p.key(): s for p, s in zip(proposals, [0.1, 0.7, 0.3, 0.5])}
-    a = detect("img", proposals, lambda q: raw[q.key()])
-    b = detect("img", proposals, lambda q: math.exp(5 * raw[q.key()]))
-    assert a.proposal is b.proposal
 
 
 def test_model_containers_round_trip(tmp_path):

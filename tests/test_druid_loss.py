@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from faceseg.druid_loss import (
     DruidGroundTruth,
     LossWeights,
     SEGMENT_IDS,
+    batch_loss,
     face_visibility,
     loss_grad,
-    loss_terms,
+    stack_targets,
     total_loss,
 )
+from faceseg.druid_model import normalized_targets
 from faceseg.geometry import BBox, SegmentCatalog
 
 CATALOG = SegmentCatalog.default()
@@ -61,23 +68,24 @@ def test_zero_loss_at_ground_truth():
             assert total_loss(seg, face, gt, mode=mode) == 0.0
 
 
+def breakdown(seg, face, gt, **kw):
+    return total_loss(seg, face, gt, return_breakdown=True, **kw)[1].branches
+
+
 def test_ordering_penalty_literal_indicator():
     # visible branch predicting x1 > x2 pays exactly (v * 1)^2 = 1
     gt = make_gt()
     seg, face = perfect_preds(gt)
     seg[0, 0], seg[0, 2] = 0.6, 0.4
-    bd = loss_terms(seg[0], gt, SEGMENT_IDS[0], mode="literal")
-    assert bd.branches[SEGMENT_IDS[0]]["own"]["x"] == 1.0
+    assert breakdown(seg, face, gt, mode="literal")[SEGMENT_IDS[0]]["own"]["x"] == 1.0
 
 
 def test_overlap_term_value():
     # gt (0,0,2,2) vs pred (1,1,3,3): intersection 1, union 7
     gt = make_gt(face=(0.0, 0.0, 2.0, 2.0))
-    pred = np.zeros(5)
-    pred[:4] = (1.0, 1.0, 3.0, 3.0)
-    pred[4] = gt.v_f
-    bd = loss_terms(pred, gt, "F")
-    assert bd.branches["F"]["face"]["O"] == pytest.approx((1 - 1 / 7) ** 2)
+    seg, face = perfect_preds(gt)
+    face[:4] = (1.0, 1.0, 3.0, 3.0)
+    assert breakdown(seg, face, gt)["F"]["face"]["O"] == pytest.approx((1 - 1 / 7) ** 2)
 
 
 def test_containment_hinge_value():
@@ -86,8 +94,7 @@ def test_containment_hinge_value():
     seg, face = perfect_preds(gt)
     i = SEGMENT_IDS.index("U12")
     seg[i, 0] = 0.08
-    bd = loss_terms(seg[i], gt, "U12")
-    assert bd.branches["U12"]["own"]["x1"] == pytest.approx((1 * 0.02) ** 2)
+    assert breakdown(seg, face, gt)["U12"]["own"]["x1"] == pytest.approx((1 * 0.02) ** 2)
 
 
 def test_printed_overlap_indicator_is_constant_gate():
@@ -98,8 +105,8 @@ def test_printed_overlap_indicator_is_constant_gate():
         i = rng.integers(14)
         seg2 = seg.copy()
         seg2[i, :4] = rng.uniform(0, 1, 4)
-        bd = loss_terms(seg2[i], gt, SEGMENT_IDS[i], printed_overlap_indicator=True)
-        assert bd.branches[SEGMENT_IDS[i]]["own"]["O"] == 1.0  # gate fires, box ignored
+        own = breakdown(seg2, face, gt, printed_overlap_indicator=True)[SEGMENT_IDS[i]]["own"]
+        assert own["O"] == 1.0  # gate fires, box ignored
 
 
 def test_total_loss_linearity_in_weights():
@@ -132,8 +139,7 @@ def test_invisible_segment_gates_all_gated_terms():
     seg, face = perfect_preds(gt)
     i = SEGMENT_IDS.index("NS")
     seg[i, :4] = (0.9, 0.9, 0.1, 0.1)  # wildly wrong and inverted
-    bd = loss_terms(seg[i], gt, "NS")
-    own = bd.branches["NS"]["own"]
+    own = breakdown(seg, face, gt)["NS"]["own"]
     for term in ("x", "y", "x1", "x2", "y1", "y2", "O"):
         assert own[term] == 0.0
     assert own["b"] > 0.0  # box distance itself is not gated
@@ -234,9 +240,113 @@ def test_gradient_matches_finite_differences():
     assert worst < 1e-4, f"max relative gradient error {worst}"
 
 
-def test_loss_terms_shape_validation():
+def test_loss_shape_validation():
     gt = make_gt()
+    seg, face = perfect_preds(gt)
     with pytest.raises(ValueError):
-        loss_terms(np.zeros(5), gt, "NS")
+        total_loss(seg[0], face, gt)
     with pytest.raises(ValueError):
-        loss_terms(np.zeros(10), gt, "F")
+        loss_grad(seg, face[:4], gt)
+    with pytest.raises(ValueError):
+        total_loss(seg, face, gt, mode="exact")
+
+
+WEIGHTS = LossWeights(b=1.3, v=0.7, x=1.1, y=0.9, x1=1.2, x2=0.8, y1=1.05, y2=0.95, O=1.4)
+
+
+def mixed_batch(rng, n=6, margin=None):
+    """Face and no-face (every third) targets with random predictions; with
+    ``margin``, each sample's predictions stay that far from every hinge."""
+    gts, segs, faces = [], [], []
+    while len(gts) < n:
+        if len(gts) % 3 == 2:
+            gt = normalized_targets((64, 64), None)
+        else:
+            x1, y1 = rng.uniform(0.0, 0.5, 2)
+            gt = make_gt(face=(x1, y1, x1 + rng.uniform(0.3, 0.5), y1 + rng.uniform(0.3, 0.5)),
+                         hidden=[s for s in SEGMENT_IDS if rng.random() < 0.3])
+        seg, face = random_preds(rng, scale=0.4)
+        if margin is not None and not _away_from_hinges(seg, face, gt, margin):
+            continue
+        gts.append(gt)
+        segs.append(seg)
+        faces.append(face)
+    box_mask = np.array([float(gt.v_f > 0) for gt in gts])
+    return gts, np.stack(segs), np.stack(faces), box_mask
+
+
+@pytest.mark.parametrize("mode", ["smooth", "literal"])
+@pytest.mark.parametrize("printed", [False, True])
+def test_batch_loss_rows_equal_single_sample_wrappers(mode, printed):
+    rng = np.random.default_rng(11)
+    gts, seg, face, box_mask = mixed_batch(rng)
+    losses, rows, grad = batch_loss(seg, face, stack_targets(gts), WEIGHTS, mode, printed,
+                                    box_mask=box_mask)
+    assert (grad is None) == (mode == "literal")
+    for j, gt in enumerate(gts):
+        # no-face samples drop the box term; every other term self-gates
+        w = WEIGHTS if box_mask[j] else replace(WEIGHTS, b=0.0)
+        total, bd = total_loss(seg[j], face[j], gt, w, mode, printed, return_breakdown=True)
+        assert losses[j] == pytest.approx(total, rel=1e-12, abs=0.0)
+        for i, s in enumerate(SEGMENT_IDS):
+            assert list(bd.branches[s]["own"].values()) == rows[j, i].tolist()
+            assert list(bd.branches[s]["face"].values()) == rows[j, 14 + i].tolist()
+        assert list(bd.branches["F"]["face"].values()) == rows[j, 28].tolist()
+        if mode == "smooth":
+            # the printed overlap term is a constant gate: no gradient
+            dseg, dface = loss_grad(seg[j], face[j], gt, replace(w, O=0.0) if printed else w)
+            assert np.array_equal(grad[0][j], dseg) and np.array_equal(grad[1][j], dface)
+
+
+def test_batch_gradient_matches_central_differences():
+    rng = np.random.default_rng(12)
+    gts, seg, face, box_mask = mixed_batch(rng, margin=1e-4)
+    targets = stack_targets(gts)
+    _, _, (dseg, dface) = batch_loss(seg, face, targets, WEIGHTS, box_mask=box_mask)
+
+    def batch_total(s, f):
+        return batch_loss(s, f, targets, WEIGHTS, box_mask=box_mask, want_grad=False)[0].sum()
+
+    h = 1e-5
+    for arr, grad in ((seg, dseg), (face, dface)):
+        num = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            old = arr[idx]
+            arr[idx] = old + h
+            up = batch_total(seg, face)
+            arr[idx] = old - h
+            dn = batch_total(seg, face)
+            arr[idx] = old
+            num[idx] = (up - dn) / (2 * h)
+        assert np.max(np.abs(grad - num) / np.maximum(np.abs(num), 1.0)) < 1e-4
+
+
+coord = st.floats(-2.0, 3.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(origin=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+       size=st.tuples(st.floats(0.05, 0.5), st.floats(0.05, 0.5)),
+       hidden=st.lists(st.booleans(), min_size=14, max_size=14),
+       no_face=st.booleans(), mode=st.sampled_from(["smooth", "literal"]),
+       printed=st.booleans(),
+       seg=hnp.arrays(np.float64, (14, 10), elements=coord),
+       face=hnp.arrays(np.float64, 5, elements=coord))
+def test_batch_loss_nonnegative_and_zero_at_ground_truth(origin, size, hidden, no_face, mode,
+                                                         printed, seg, face):
+    if no_face:
+        gt = normalized_targets((64, 64), None)
+    else:
+        (x1, y1), (w, h) = origin, size
+        gt = make_gt(face=(x1, y1, x1 + w, y1 + h),
+                     hidden=[s for s, hide in zip(SEGMENT_IDS, hidden) if hide])
+    exact_seg, exact_face = perfect_preds(gt)
+    mask = [float(not no_face)] * 2
+    losses, rows, _ = batch_loss(np.stack([seg, exact_seg]), np.stack([face, exact_face]),
+                                 stack_targets([gt, gt]), WEIGHTS, mode, printed, box_mask=mask)
+    assert np.all(rows[0] >= 0.0) and losses[0] >= 0.0
+    if printed:
+        # the printed indicator charges every visible branch a constant 1
+        assert np.all(rows[1][:, :8] == 0.0)
+    else:
+        assert losses[1] == 0.0 and np.all(rows[1] == 0.0)

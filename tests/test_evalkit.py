@@ -7,7 +7,6 @@ from faceseg.evalkit import (
     coverage_at,
     coverage_upper_bound,
     iou,
-    match_at_overlap,
     outcome,
     pr_curve,
     roc_curve,
@@ -25,13 +24,16 @@ def test_iou_basic():
 
 
 def test_match_at_overlap_inclusive():
-    assert match_at_overlap(BBox(0, 0, 2, 2), BBox(0, 0, 2, 2), 0.5)
-    assert not match_at_overlap(BBox(0, 0, 2, 2), BBox(1, 1, 3, 3), 0.5)
-    # IOU exactly theta matches
+    # ROC hits and coverage both count IOU >= theta, with equality a match
     a, b = BBox(0, 0, 1, 1), BBox(0, 0, 1, 2)
-    assert match_at_overlap(a, b, iou(a, b))
-    with pytest.raises(ValueError):
-        match_at_overlap(a, b, 0.0)
+    img = ImageMeta(10, 10)
+    hit = outcome("f", b, a, 0.8, img)
+    assert hit.iou_with_gt == iou(a, b) == 0.5
+    noface = outcome("n", None, None, None, img)
+    assert roc_curve([hit, noface], theta=0.5)[0].points[-1][2] == 1.0
+    assert roc_curve([hit, noface], theta=np.nextafter(0.5, 1.0))[0].points[-1][2] == 0.0
+    cov = coverage_upper_bound([[a], [BBox(0, 0, 2, 2)]], [b, BBox(1, 1, 3, 3)], [0.5])
+    assert cov.points == [(0.5, 0.5, 0.5)]
 
 
 def test_outcome_invariant_enforced():

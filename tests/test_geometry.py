@@ -11,7 +11,6 @@ from faceseg.geometry import (
     SEGMENT_IDS,
     PROPOSAL_SEGMENTS,
     face_from_segment,
-    fraction_rect,
     segment_from_face,
 )
 
@@ -28,15 +27,15 @@ def test_proposal_set_is_the_nine_segment_selector():
 
 
 def test_half_and_three_fourth_fractions_are_exact():
-    assert fraction_rect("L12", CATALOG).as_tuple() == (0.0, 0.0, 0.5, 1.0)
-    assert fraction_rect("U34", CATALOG).as_tuple() == (0.0, 0.0, 1.0, 0.75)
-    assert fraction_rect("B12", CATALOG).as_tuple() == (0.0, 0.5, 1.0, 1.0)
-    assert fraction_rect("U12", CATALOG).as_tuple() == (0.0, 0.0, 1.0, 0.5)
+    assert CATALOG["L12"].as_tuple() == (0.0, 0.0, 0.5, 1.0)
+    assert CATALOG["U34"].as_tuple() == (0.0, 0.0, 1.0, 0.75)
+    assert CATALOG["B12"].as_tuple() == (0.0, 0.5, 1.0, 1.0)
+    assert CATALOG["U12"].as_tuple() == (0.0, 0.0, 1.0, 0.5)
 
 
 def test_default_interior_patches():
-    assert fraction_rect("NS", CATALOG).as_tuple() == (0.35, 0.40, 0.65, 0.75)
-    assert fraction_rect("EP", CATALOG).as_tuple() == (0.125, 0.25, 0.875, 0.50)
+    assert CATALOG["NS"].as_tuple() == (0.35, 0.40, 0.65, 0.75)
+    assert CATALOG["EP"].as_tuple() == (0.125, 0.25, 0.875, 0.50)
 
 
 def test_catalog_requires_all_segments():

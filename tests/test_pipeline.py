@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from faceseg.corpus import DetectorNoise, SceneSpec, render_synthetic
-from faceseg.evalkit import coverage_at, roc_curve
+from faceseg.evalkit import outcome, roc_curve
 from faceseg.pipeline import (
     DsfTrainConfig,
     coverage_from_records,
@@ -116,6 +116,36 @@ def test_coverage_and_bound_consistency(small_world):
     outcomes = evaluate_proposal_detector(images, per_image, fsfd_score_fn(table, model))
     curve_roc, _ = roc_curve(outcomes)
     assert all(tar <= ys[0.5] + 1e-9 for _, _, tar in curve_roc.points)
+
+
+def test_argmax_detection_rules(small_world):
+    images, records = small_world
+    per_image = records_by_image(records)
+    ai = next(a for a in images if a.has_face and len(per_image.get(a.image_id, [])) >= 3)
+    recs = per_image[ai.image_id][:3]
+
+    def never(ai, props):
+        raise AssertionError("an image without proposals was scored")
+
+    [empty] = evaluate_proposal_detector([ai], {}, never)
+    assert empty.score is None and empty.iou_with_gt is None
+    [o] = evaluate_proposal_detector([ai], {ai.image_id: recs}, lambda a, props: [0.2, 0.9, 0.5])
+    best = outcome(ai.image_id, ai.gt.face, recs[1].proposal.bbox, 0.9, ai.meta)
+    assert o == best
+
+
+def test_argmax_detection_invariant_to_monotone_transform(small_world):
+    images, records = small_world
+    per_image = records_by_image(records)
+    rng = np.random.default_rng(0)
+    raw = {id(r.proposal): rng.random() for r in records}
+    a = evaluate_proposal_detector(images, per_image,
+                                   lambda ai, props: [raw[id(p)] for p in props])
+    b = evaluate_proposal_detector(images, per_image,
+                                   lambda ai, props: [np.exp(5 * raw[id(p)]) for p in props])
+    assert [o.iou_with_gt for o in a] == [o.iou_with_gt for o in b]
+    assert all((x.score is None) == (y.score is None) for x, y in zip(a, b))
+    assert all(y.score == np.exp(5 * x.score) for x, y in zip(a, b) if x.score is not None)
 
 
 def test_evaluate_druid_outcome_shape(small_world):
