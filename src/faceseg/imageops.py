@@ -87,15 +87,22 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM back into a [0,1] float image."""
+    """Read a binary 8-bit PGM back into a [0,1] float image.
+
+    The header's four fields may span lines, and ``#`` starts a comment that
+    runs to the end of its line, as netpbm allows; the pixels follow the
+    newline that ends the maxval's line.
+    """
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-        dims = fh.readline().split()
-        maxval = int(fh.readline())
+        fields: list[bytes] = []
+        while len(fields) < 4 and (line := fh.readline()):
+            fields += line.split(b"#", 1)[0].split()
+        if fields[:1] != [b"P5"] or len(fields) < 4 or not all(f.isdigit() for f in fields[1:4]):
+            raise ValueError(f"{path}: not a binary PGM header ({b' '.join(fields)[:40]!r})")
+        w, h, maxval = (int(f) for f in fields[1:4])
         if maxval != 255:
             raise ValueError(f"{path}: unsupported maxval {maxval}")
-        w, h = int(dims[0]), int(dims[1])
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    return data.reshape(h, w).astype(np.float64) / 255.0
+        data = fh.read(w * h)
+    if len(data) != w * h:
+        raise ValueError(f"{path}: expected {w * h} pixel bytes for {w}x{h}, got {len(data)}")
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0

@@ -18,13 +18,14 @@ from faceseg.detectors import (
     LinearModel,
     MultiColumnNet,
     SegmentScorerBank,
+    _first_detection,
     segface_features,
     train_linear,
 )
 from faceseg.druid_model import DruidParams, infer
 from faceseg.evalkit import Curve, ImageOutcome, coverage_upper_bound, iou, outcome
 from faceseg.geometry import SegmentCatalog
-from faceseg.imageops import hog_features, sample_rect
+from faceseg.imageops import HOG_DIM, hog_features, sample_rect
 from faceseg.priors import PriorTable, fit_priors, prior_features, rerank
 from faceseg.proposals import Proposal, ProposalConfig, generate_proposals
 
@@ -106,7 +107,7 @@ def train_segface(records: list[ProposalRecord], images: dict[str, AnnotatedImag
     for si, seg in enumerate(table.segments):
         feats, labels = [], []
         for r in records:
-            det = next((d for d in r.proposal.segments if d.seg == seg), None)
+            det = _first_detection(r.proposal, seg)
             if det is None:
                 continue
             patch = sample_rect(images[r.image_id].pixels, det.box, patch_side, patch_side)
@@ -118,9 +119,7 @@ def train_segface(records: list[ProposalRecord], images: dict[str, AnnotatedImag
                                             seed=derived_seed(seed, si))
         else:
             # a segment never observed with both labels scores neutrally
-            bank_models[seg] = LinearModel(w=np.zeros(feats[0].shape[0] if feats
-                                                      else hog_features(np.zeros((patch_side, patch_side))).shape[0]),
-                                           b=0.0)
+            bank_models[seg] = LinearModel(w=np.zeros(HOG_DIM), b=0.0)
     bank = SegmentScorerBank(models=bank_models, patch_side=patch_side)
 
     X = np.stack([segface_features(r.proposal, images[r.image_id].pixels, bank, table)

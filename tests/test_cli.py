@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -178,3 +179,131 @@ def test_eval_truncated_druid_weights_is_a_one_line_error(workdir, tmp_path, kee
                             "--weights-in", path, "--out", tmp_path / "e"])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("image_id", ["img_000099", None])
+def test_unknown_image_id_in_proposals_names_the_line(workdir, tmp_path, image_id):
+    lines = (workdir / "props" / "proposals.jsonl").read_text().splitlines()
+    bad = json.loads(lines[1])
+    if image_id is None:
+        del bad["image_id"]
+    else:
+        bad["image_id"] = image_id
+    path = tmp_path / "proposals.jsonl"
+    path.write_text("\n".join([lines[0], json.dumps(bad), *lines[2:]]) + "\n")
+    proc = run_cli_process(["fit-priors", "--corpus", workdir / "corpus",
+                            "--proposals", path, "--out", tmp_path / "o"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"{path} line 2: image_id {image_id!r}" in proc.stderr
+
+
+def test_truncated_pgm_is_a_one_line_error(workdir, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workdir / "corpus", corpus)
+    pgm = corpus / "images" / "img_000003.pgm"
+    pgm.write_bytes(pgm.read_bytes()[:-100])
+    proc = run_cli_process(["propose", "--corpus", corpus, "--out", tmp_path / "o"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "img_000003.pgm" in proc.stderr
+
+
+# Every setting flag of every subcommand: (flag, a value to pass, the documented config key).
+PROPOSAL_SETTINGS = [("--c", 3, "proposal.c"), ("--zeta", 4, "proposal.zeta"),
+                     ("--r", 20.0, "proposal.r"), ("--miss", 0.1, "noise.miss"),
+                     ("--jitter", 0.5, "noise.jitter"),
+                     ("--scale-jitter", 0.05, "noise.scale_jitter"),
+                     ("--fp-rate", 1.5, "noise.fp_rate")]
+SETTINGS = {
+    "gen-data": [("--n", 6, "gen.n"), ("--width", 96, "gen.width"),
+                 ("--height", 104, "gen.height"), ("--noface-frac", 0.5, "gen.noface_frac"),
+                 ("--crop-weights", "none:0.7,TO_L34:0.3", "gen.crop_weights")],
+    "propose": PROPOSAL_SETTINGS,
+    "fit-priors": [],
+    "train-fsfd": [("--epochs", 2, "train.epochs"), ("--step", 0.3, "train.step"),
+                   ("--penalty", 0.001, "train.penalty")],
+    "train-segface": [("--epochs", 2, "train.epochs"), ("--step", 0.3, "train.step"),
+                      ("--penalty", 0.001, "train.penalty")],
+    "train-dsf": [("--epochs", 1, "dsf.epochs"), ("--lr", 0.001, "dsf.lr"),
+                  ("--batch", 16, "dsf.batch"), ("--max-proposals", 60, "dsf.max_proposals")],
+    "train-druid": [("--epochs", 1, "druid.epochs"), ("--lr", 0.0002, "druid.lr"),
+                    ("--batch", 8, "druid.batch")],
+    "eval": [("--theta", 0.4, "eval.theta"), *PROPOSAL_SETTINGS],
+    "loss-check": [("--samples", 2, "loss.samples")],
+    "coverage": [*PROPOSAL_SETTINGS, ("--thetas", "0.3,0.6", "coverage.thetas")],
+}
+SETTINGS = {cmd: [*flags, ("--seed", 8, "seed")] for cmd, flags in SETTINGS.items()}
+
+
+def _io_flags(cmd, workdir, root):
+    """The non-setting flags each subcommand needs, writing under root/cmd."""
+    out = root / cmd
+    corpus = ["--corpus", workdir / "corpus"]
+    props = ["--proposals", workdir / "props" / "proposals.jsonl"]
+    priors = ["--priors", workdir / "priors" / "priors.json"]
+    return {
+        "gen-data": ["--out", out],
+        "propose": [*corpus, "--out", out],
+        "fit-priors": [*corpus, *props, "--out", out],
+        "train-fsfd": [*corpus, *props, *priors, "--out", out],
+        "train-segface": [*corpus, *props, *priors, "--out", out],
+        "train-dsf": [*corpus, *props, "--out", out],
+        "train-druid": [*corpus, "--weights-out", out / "druid.json"],
+        "eval": [*corpus, "--detector", "fsfd", "--model", root / "train-fsfd" / "fsfd.json",
+                 *priors, "--out", out],
+        "loss-check": ["--out", out],
+        "coverage": [*corpus, "--out", out],
+    }[cmd]
+
+
+@pytest.mark.parametrize("cmd,model,flags", [
+    ("train-fsfd", "fsfd.json", []),
+    ("train-segface", "segface.json", []),
+    ("train-dsf", "deepsegface.json", ["--epochs", 1, "--max-proposals", 100]),
+    ("train-druid", "druid.json", ["--epochs", 1]),
+])
+def test_trained_artifacts_rerun_byte_identical(workdir, tmp_path, cmd, model, flags):
+    for tag in ("a", "b"):
+        assert run_cli([cmd, *_io_flags(cmd, workdir, tmp_path / tag), *flags, "--seed", 3]) == 0
+    for name in (model, "config.json", "manifest.json"):
+        a, b = (tmp_path / tag / cmd / name for tag in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def flag_configs(workdir, tmp_path_factory):
+    """config.json of one run of each subcommand with every setting flag set."""
+    root = tmp_path_factory.mktemp("flags")
+    configs = {}
+
+    def config(cmd):
+        if cmd not in configs:
+            if cmd == "eval":
+                config("train-fsfd")  # eval scores with the model it trains
+            settings = [a for flag, value, _ in SETTINGS[cmd] for a in (flag, value)]
+            assert run_cli([cmd, *_io_flags(cmd, workdir, root), *settings]) == 0
+            configs[cmd] = json.loads((root / cmd / "config.json").read_text())
+        return configs[cmd]
+
+    return config
+
+
+@pytest.mark.parametrize("cmd,flag,value,key", [
+    (cmd, flag, value, key) for cmd, flags in SETTINGS.items() for flag, value, key in flags])
+def test_flag_is_echoed_under_its_config_key(flag_configs, cmd, flag, value, key):
+    cfg = flag_configs(cmd)
+    assert cfg[key] == value
+    assert set(cfg) == {k for _, _, k in SETTINGS[cmd]}
+
+
+@pytest.mark.parametrize("cmd", list(SETTINGS))
+def test_help_lists_every_flag(workdir, tmp_path, capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    flags = [f for f, _, _ in SETTINGS[cmd]] + ["--config"]
+    flags += [a for a in _io_flags(cmd, workdir, tmp_path) if str(a).startswith("--")]
+    for flag in flags:
+        assert f"{flag} " in text or f"{flag}\n" in text, flag
